@@ -78,8 +78,8 @@ type Status struct {
 	Durability  *Durability `json:"durability,omitempty"`
 }
 
-// Digest is the (cycle, state, log) triple convergence checks compare —
-// the same data the legacy text DIGEST verb returns.
+// Digest is the (cycle, state, log) triple convergence checks compare,
+// extracted from /status.
 type Digest struct {
 	Cycle uint64
 	State uint64

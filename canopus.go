@@ -232,6 +232,9 @@ type SimCluster struct {
 	nodes  []*Node
 	stores []*Store
 	hubs   []*EventHub
+	// nodeCfg is every node's configuration minus Self, kept so a
+	// restarted joiner runs with the same timeouts as its peers.
+	nodeCfg Config
 
 	onReply map[NodeID]func(req *Request, val []byte)
 	// dones routes driverClient completions back to Submit callbacks;
@@ -358,15 +361,16 @@ func NewSimCluster(opts SimOptions) (*SimCluster, error) {
 		sessDones:  make(map[simSessKey]func(val []byte, ok bool)),
 		regPending: make(map[uint64]func(id uint64, ok bool)),
 	}
+	c.nodeCfg = opts.Node
+	c.nodeCfg.Tree = tree
+	// The simulator always runs the serial commit path: deterministic
+	// virtual-time replay is the whole point of this backend, and a
+	// background apply executor would break it. Live deployments
+	// (StartLiveCluster) default to the parallel pipeline instead.
+	c.nodeCfg.ApplyWorkers = 0
 	for i := 0; i < topo.NumNodes(); i++ {
-		cfg := opts.Node
-		cfg.Tree = tree
+		cfg := c.nodeCfg
 		cfg.Self = NodeID(i)
-		// The simulator always runs the serial commit path: deterministic
-		// virtual-time replay is the whole point of this backend, and a
-		// background apply executor would break it. Live deployments
-		// (StartLiveCluster) default to the parallel pipeline instead.
-		cfg.ApplyWorkers = 0
 		st := kvstore.New()
 		n := core.NewNode(cfg, st, Callbacks{})
 		c.installDispatcher(NodeID(i), n)
@@ -705,7 +709,8 @@ func (c *SimCluster) Crash(id NodeID) { c.Runner.Crash(id) }
 // RestartAsJoiner restarts a crashed node with fresh state; it re-enters
 // through the join protocol.
 func (c *SimCluster) RestartAsJoiner(id NodeID) *Node {
-	cfg := Config{Tree: c.Tree, Self: id}
+	cfg := c.nodeCfg
+	cfg.Self = id
 	st := kvstore.New()
 	n := core.NewJoiner(cfg, st, Callbacks{})
 	c.installDispatcher(id, n)

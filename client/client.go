@@ -530,10 +530,14 @@ func (c *Client) start(p *pendingOp) error {
 			}
 			// The connection failed between selection and enqueue; its
 			// failure handler owns its pending set. Detach it if the
-			// handler has not yet, and try again on a fresh one.
+			// handler has not yet, and try again on a fresh one. Whoever
+			// detaches the current connection owns the switch: the handler
+			// will find it gone and neither advance nor count.
 			c.mu.Lock()
 			if c.conn == cn {
 				c.conn = nil
+				c.next = (c.next + 1) % len(c.cfg.Endpoints)
+				c.failovers.Add(1)
 			}
 			c.mu.Unlock()
 			continue

@@ -100,6 +100,24 @@ func TestClosedClient(t *testing.T) {
 	}
 }
 
+// waitApplied waits until every node in nodes has applied every cycle
+// node src has ordered so far. An ack comes from its serving node (at
+// order resolution or after apply); the other replicas reach the same
+// cycle asynchronously.
+func waitApplied(t *testing.T, c *livecluster.Cluster, src int, nodes ...int) {
+	t.Helper()
+	ordered := c.Node(src).Ordered()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, i := range nodes {
+		for c.Node(i).Committed() < ordered {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d stuck below node %d's ordered cycle %d", i, src, ordered)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 // TestFailoverRetriesPendingOpsOnce crashes the connected node with a
 // pipeline of linearizable writes in flight and asserts the client
 // fails over to another endpoint, retrying every pending operation
@@ -253,6 +271,7 @@ func TestExactlyOnceAcrossReplyLoss(t *testing.T) {
 		c.InspectStore(node, func(st *kvstore.Store) { n = st.LogLen() })
 		return n
 	}
+	waitApplied(t, c, 0, 1)
 	base := logLenAt(1)
 
 	// Inject the reply-loss fault, then pipeline writes through node 0:
@@ -419,6 +438,7 @@ func TestEndSessionLifecycle(t *testing.T) {
 	if cl.SessionID() != 0 {
 		t.Fatal("session survived EndSession client-side")
 	}
+	waitApplied(t, c, 0, 1, 2)
 	for i := 0; i < 3; i++ {
 		var has bool
 		c.Runner(i).Invoke(func() { has = c.Node(i).Sessions().Has(old) })

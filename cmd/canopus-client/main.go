@@ -1,10 +1,14 @@
-// Command canopus-client talks to canopus-server's client port.
+// Command canopus-client talks to canopus-server's client port through
+// the canopus/client package (client protocol v3).
 //
-// Interactive (text protocol): run with no arguments and type
-// "PUT 7 hello", "GET 7" or "DEL 7".
+// Interactive: run with no command and type "PUT 7 hello", "GET 7" or
+// "DEL 7", one per line (any case; QUIT or end of input exits). Each
+// line answers OK, VALUE <v>, NIL or ERR <reason>, so piped input works
+// too:
 //
-// One-shot (binary protocol v2, via the public canopus/client package):
-// pass a command —
+//	printf 'PUT 1 hello\nGET 1\n' | canopus-client -addr 127.0.0.1:8000
+//
+// One-shot: pass a command —
 //
 //	canopus-client -addr 127.0.0.1:8000 put 7 hello
 //	canopus-client -addr 127.0.0.1:8000 get 7
@@ -12,9 +16,10 @@
 //	canopus-client -addr 127.0.0.1:8000 del 7
 //
 // -addr takes a comma-separated endpoint list; the client fails over
-// along it. -consistency selects the read path: linearizable (default,
-// ordered through consensus), sequential (local committed state,
-// monotone per session) or stale (local committed state, immediate).
+// along it. -consistency selects the read path in both modes:
+// linearizable (default, ordered through consensus), sequential (local
+// committed state, monotone per session) or stale (local committed
+// state, immediate).
 package main
 
 import (
@@ -25,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"os"
 	"strconv"
 	"strings"
@@ -40,93 +44,99 @@ func main() {
 	timeout := flag.Duration("timeout", 15*time.Second, "per-request timeout")
 	flag.Parse()
 
-	if flag.NArg() > 0 {
-		oneShot(strings.Split(*addr, ","), *level, *timeout, flag.Args())
-		return
-	}
-
-	interactive(strings.Split(*addr, ",")[0])
-}
-
-// interactive runs the line-oriented text protocol over a raw socket.
-func interactive(addr string) {
-	conn, err := net.Dial("tcp", addr)
+	consistency, err := parseLevel(*level)
 	if err != nil {
 		log.Fatal("canopus-client: ", err)
 	}
-	defer conn.Close()
-	fmt.Printf("connected to %s; commands: PUT <key> <value> | GET <key> | DEL <key> | QUIT\n", addr)
-
-	// The reader goroutine ends the process once the server closes the
-	// connection (e.g. after QUIT), with all replies printed. A broken
-	// connection is an error exit: replies may have been lost.
-	go func() {
-		if _, err := io.Copy(os.Stdout, conn); err != nil {
-			log.Fatal("canopus-client: connection error: ", err)
-		}
-		os.Exit(0)
-	}()
-	sc := bufio.NewScanner(os.Stdin)
-	w := bufio.NewWriter(conn)
-	for sc.Scan() {
-		fmt.Fprintln(w, sc.Text())
-		w.Flush()
-	}
-	// Stdin ended (piped input): half-close so the server drains our
-	// in-flight requests and closes; the reader goroutine then exits the
-	// process after printing the remaining replies.
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.CloseWrite()
-	}
-	time.Sleep(30 * time.Second) // reader goroutine exits first
-	log.Fatal("canopus-client: server never closed the connection")
-}
-
-// oneShot executes a single command through the typed client API.
-func oneShot(endpoints []string, level string, timeout time.Duration, args []string) {
-	consistency, err := parseLevel(level)
-	if err != nil {
-		log.Fatal("canopus-client: ", err)
-	}
-	cl, err := client.New(client.Config{Endpoints: endpoints, RequestTimeout: timeout})
+	cl, err := client.New(client.Config{Endpoints: strings.Split(*addr, ","), RequestTimeout: *timeout})
 	if err != nil {
 		log.Fatal("canopus-client: ", err)
 	}
 	defer cl.Close()
-	ctx := context.Background()
 
-	switch cmd := strings.ToLower(args[0]); cmd {
-	case "put":
-		if len(args) < 3 {
-			log.Fatal("canopus-client: usage: put <key> <value>")
-		}
-		if err := cl.Put(ctx, parseKey(args[1]), []byte(strings.Join(args[2:], " "))); err != nil {
+	if flag.NArg() == 0 {
+		if err := interactive(os.Stdin, os.Stdout, cl, consistency); err != nil {
 			log.Fatal("canopus-client: ", err)
 		}
-		fmt.Println("OK")
-	case "get":
-		if len(args) != 2 {
-			log.Fatal("canopus-client: usage: get <key>")
-		}
-		val, err := cl.Get(ctx, parseKey(args[1]), client.WithConsistency(consistency))
-		if errors.Is(err, client.ErrNotFound) {
-			fmt.Println("NIL")
-			os.Exit(1)
-		}
-		if err != nil {
-			log.Fatal("canopus-client: ", err)
-		}
-		fmt.Printf("%s\n", val)
-	case "del":
-		if len(args) != 2 {
-			log.Fatal("canopus-client: usage: del <key>")
-		}
-		if err := cl.Delete(ctx, parseKey(args[1])); err != nil {
-			log.Fatal("canopus-client: ", err)
-		}
-		fmt.Println("OK")
+		return
+	}
+	r := run(context.Background(), cl, consistency, flag.Args())
+	switch {
+	case errors.Is(r.err, client.ErrNotFound):
+		fmt.Println("NIL")
+		cl.Close()
+		os.Exit(1)
+	case r.err != nil:
+		log.Fatal("canopus-client: ", r.err)
+	case r.hit:
+		fmt.Printf("%s\n", r.val)
 	default:
-		log.Fatalf("canopus-client: unknown command %q (want put|get|del)", cmd)
+		fmt.Println("OK")
+	}
+}
+
+// interactive answers one command per input line until QUIT or the end
+// of input, each reply written before the next line is read.
+func interactive(in io.Reader, out io.Writer, cl *client.Client, level client.Consistency) error {
+	sc := bufio.NewScanner(in)
+	for sc.Scan() {
+		args := strings.Fields(sc.Text())
+		if len(args) == 0 {
+			continue
+		}
+		if strings.EqualFold(args[0], "quit") {
+			break
+		}
+		if _, err := fmt.Fprintln(out, run(context.Background(), cl, level, args)); err != nil {
+			return err
+		}
+	}
+	return sc.Err()
+}
+
+// reply is one command's outcome.
+type reply struct {
+	val []byte
+	hit bool  // a get found val
+	err error // client.ErrNotFound for a get miss
+}
+
+// String renders the interactive reply line.
+func (r reply) String() string {
+	switch {
+	case errors.Is(r.err, client.ErrNotFound):
+		return "NIL"
+	case r.err != nil:
+		return "ERR " + r.err.Error()
+	case r.hit:
+		return "VALUE " + string(r.val)
+	}
+	return "OK"
+}
+
+// run executes one command — put <key> <value>, get <key> or del <key>,
+// in any case — the dispatcher both modes share.
+func run(ctx context.Context, cl *client.Client, level client.Consistency, args []string) reply {
+	cmd := strings.ToLower(args[0])
+	usage := map[string]string{"put": "put <key> <value>", "get": "get <key>", "del": "del <key>"}[cmd]
+	switch {
+	case usage == "":
+		return reply{err: fmt.Errorf("unknown command %q (want put|get|del)", args[0])}
+	case cmd == "put" && len(args) < 3, cmd != "put" && len(args) != 2:
+		return reply{err: errors.New("usage: " + usage)}
+	}
+	key, err := strconv.ParseUint(args[1], 10, 64)
+	if err != nil {
+		return reply{err: fmt.Errorf("bad key %q", args[1])}
+	}
+	switch cmd {
+	case "put":
+		return reply{err: cl.Put(ctx, key, []byte(strings.Join(args[2:], " ")))}
+	case "get":
+		val, err := cl.Get(ctx, key, client.WithConsistency(level))
+		return reply{val: val, hit: err == nil, err: err}
+	default:
+		return reply{err: cl.Delete(ctx, key)}
 	}
 }
 
@@ -141,12 +151,4 @@ func parseLevel(s string) (client.Consistency, error) {
 	default:
 		return 0, fmt.Errorf("unknown consistency %q (want linearizable|sequential|stale)", s)
 	}
-}
-
-func parseKey(s string) uint64 {
-	k, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		log.Fatalf("canopus-client: bad key %q", s)
-	}
-	return k
 }

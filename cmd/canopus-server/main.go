@@ -1,8 +1,8 @@
 // Command canopus-server runs one live Canopus node over TCP: the same
 // protocol engine the simulator drives, behind real sockets, plus a
-// client port speaking both the interactive text protocol
-// (GET <key> / PUT <key> <value> / QUIT) and the pipelined binary
-// protocol (see internal/wire's client codec and the README).
+// client port speaking the pipelined client protocol v3 (see
+// internal/wire's client codec and the README); canopus-client and the
+// canopus/client package speak it.
 //
 // A three-node super-leaf on localhost:
 //
@@ -177,7 +177,6 @@ func main() {
 		if err != nil {
 			log.Fatal("canopus-server: ", err)
 		}
-		port.SetDigestFunc(livecluster.DigestSource(runner, node, st))
 		port.SetHub(hub)
 	}
 

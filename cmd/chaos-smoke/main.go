@@ -27,9 +27,7 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/exec"
 	"strconv"
@@ -38,6 +36,7 @@ import (
 	"canopus/admin"
 	"canopus/client"
 	"canopus/internal/chaosnet"
+	"canopus/internal/smoke"
 	"canopus/internal/wire"
 )
 
@@ -48,13 +47,15 @@ func main() {
 	leafTimeout := flag.Duration("leaf-timeout", 500*time.Millisecond, "eviction timeout handed to the servers")
 	timeout := flag.Duration("timeout", 60*time.Second, "overall deadline for each phase")
 	flag.Parse()
+	log.SetPrefix("chaos-smoke: ")
+	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 	if *server == "" {
-		log.Fatal("chaos-smoke: -server is required")
+		log.Fatal("-server is required")
 	}
 
-	peerAddrs := reservePorts(nodes)
-	clientAddrs := reservePorts(nodes)
-	adminAddrs := reservePorts(nodes)
+	peerAddrs := smoke.ReservePorts(nodes)
+	clientAddrs := smoke.ReservePorts(nodes)
+	adminAddrs := smoke.ReservePorts(nodes)
 
 	// The fabric lives in the orchestrator: each node's -peers entry for
 	// every OTHER node is that directed link's proxy, so all inter-node
@@ -71,7 +72,7 @@ func main() {
 			}
 			addr, err := fabric.AddLink(wire.NodeID(i), wire.NodeID(j), peerAddrs[j])
 			if err != nil {
-				log.Fatalf("chaos-smoke: link %d->%d: %v", i, j, err)
+				log.Fatalf("link %d->%d: %v", i, j, err)
 			}
 			proxied[i][j] = addr
 		}
@@ -103,7 +104,7 @@ func main() {
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
-			log.Fatalf("chaos-smoke: start node %d: %v", i, err)
+			log.Fatalf("start node %d: %v", i, err)
 		}
 		return cmd
 	}
@@ -121,13 +122,13 @@ func main() {
 	}()
 
 	ctx := context.Background()
-	waitAllHealthy(admins, *timeout)
-	log.Print("chaos-smoke: cluster up; seeding pre-partition writes")
-	cl := dial(clientAddrs[0])
+	smoke.WaitAllHealthy(admins, *timeout)
+	log.Print("cluster up; seeding pre-partition writes")
+	cl := smoke.Dial(clientAddrs[0])
 	defer cl.Close()
 	for k := uint64(1); k <= 6; k++ {
 		if err := cl.Put(ctx, k, []byte("pre")); err != nil {
-			log.Fatalf("chaos-smoke: pre-partition put %d: %v", k, err)
+			log.Fatalf("pre-partition put %d: %v", k, err)
 		}
 	}
 
@@ -135,10 +136,10 @@ func main() {
 	// client port: the cycle that write starts keeps retrying cross-leaf
 	// fetches, and the first retry to land after the heal draws the
 	// Evicted notice that -exit-on-evict turns into exit status 3.
-	log.Print("chaos-smoke: partitioning node 2")
+	log.Print("partitioning node 2")
 	fabric.Partition([]wire.NodeID{0, 1}, []wire.NodeID{2})
 	cut := time.Now()
-	wedge := dial(clientAddrs[2])
+	wedge := smoke.Dial(clientAddrs[2])
 	defer wedge.Close()
 	_ = wedge.PutAsync(200, []byte("doomed"))
 
@@ -156,19 +157,19 @@ func main() {
 	waitMetric(ctx, admins[0], "canopus_core_leaf_evictions_total", 1, evictBudget+*timeout)
 	evictIn := time.Since(cut)
 	if evictIn > evictBudget {
-		log.Fatalf("chaos-smoke: eviction took %v, budget 4*leaf-timeout = %v", evictIn, evictBudget)
+		log.Fatalf("eviction took %v, budget 4*leaf-timeout = %v", evictIn, evictBudget)
 	}
-	log.Printf("chaos-smoke: survivors evicted node 2's leaf in %v", evictIn)
+	log.Printf("survivors evicted node 2's leaf in %v", evictIn)
 	for i, f := range post {
 		if _, err := f.Wait(ctx); err != nil {
-			log.Fatalf("chaos-smoke: post-partition put %d: %v", i, err)
+			log.Fatalf("post-partition put %d: %v", i, err)
 		}
 	}
 
 	// Heal, then require the evicted process to discover its fate and
 	// exit 3 so a supervisor (here: us) can bounce it back in as a
 	// joiner.
-	log.Print("chaos-smoke: healing; waiting for node 2 to exit on eviction")
+	log.Print("healing; waiting for node 2 to exit on eviction")
 	fabric.Heal()
 	exited := make(chan error, 1)
 	go func() { exited <- procs[2].Wait() }()
@@ -176,73 +177,32 @@ func main() {
 	case err := <-exited:
 		code := procs[2].ProcessState.ExitCode()
 		if code != 3 {
-			log.Fatalf("chaos-smoke: evicted node exited %d (err %v), want 3", code, err)
+			log.Fatalf("evicted node exited %d (err %v), want 3", code, err)
 		}
 	case <-time.After(*timeout):
-		log.Fatalf("chaos-smoke: evicted node did not exit within %v of the heal", *timeout)
+		log.Fatalf("evicted node did not exit within %v of the heal", *timeout)
 	}
-	log.Print("chaos-smoke: node 2 exited 3; restarting with -join")
+	log.Print("node 2 exited 3; restarting with -join")
 	procs[2] = start(2, true)
 
-	waitAllHealthy(admins, *timeout)
-	state := converge(ctx, admins, *timeout)
-	got, err := dial(clientAddrs[2]).Get(ctx, 104)
+	smoke.WaitAllHealthy(admins, *timeout)
+	state := smoke.Converge(admins, *timeout).State
+	got, err := smoke.Dial(clientAddrs[2]).Get(ctx, 104)
 	if err != nil || string(got) != "post" {
-		log.Fatalf("chaos-smoke: Get(104) via rejoined node = %q, %v", got, err)
+		log.Fatalf("Get(104) via rejoined node = %q, %v", got, err)
 	}
-	log.Printf("chaos-smoke: PASS: evicted in %v, readmitted; all %d replicas at state digest %016x", evictIn, nodes, state)
+	log.Printf("PASS: evicted in %v, readmitted; all %d replicas at state digest %016x", evictIn, nodes, state)
 
 	for i, p := range procs {
 		if err := p.Process.Signal(os.Interrupt); err != nil {
-			log.Fatalf("chaos-smoke: stop node %d: %v", i, err)
+			log.Fatalf("stop node %d: %v", i, err)
 		}
 	}
 	for i, p := range procs {
 		if err := p.Wait(); err != nil {
-			log.Fatalf("chaos-smoke: node %d shutdown: %v", i, err)
+			log.Fatalf("node %d shutdown: %v", i, err)
 		}
 		procs[i] = nil
-	}
-}
-
-func dial(addr string) *client.Client {
-	cl, err := client.New(client.Config{Endpoints: []string{addr}, RequestTimeout: 30 * time.Second})
-	if err != nil {
-		log.Fatal("chaos-smoke: ", err)
-	}
-	return cl
-}
-
-// reservePorts binds n loopback listeners to pick free ports, then
-// releases them for the servers to claim.
-func reservePorts(n int) []string {
-	addrs := make([]string, n)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal("chaos-smoke: ", err)
-		}
-		addrs[i] = l.Addr().String()
-		l.Close()
-	}
-	return addrs
-}
-
-func waitAllHealthy(admins []*admin.Client, timeout time.Duration) {
-	for i, cl := range admins {
-		deadline := time.Now().Add(timeout)
-		for {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			h, err := cl.Health(ctx)
-			cancel()
-			if err == nil && h.Status == "ok" {
-				break
-			}
-			if time.Now().After(deadline) {
-				log.Fatalf("chaos-smoke: node %d not healthy after %v (status %q, err %v)", i, timeout, h.Status, err)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
 	}
 }
 
@@ -264,45 +224,7 @@ func waitMetric(ctx context.Context, cl *admin.Client, family string, min float6
 			}
 		}
 		if time.Now().After(deadline) {
-			log.Fatalf("chaos-smoke: %s did not reach %v within %v", family, min, timeout)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// converge waits for every replica's admin digest to agree on one
-// non-zero state digest and returns it.
-func converge(ctx context.Context, admins []*admin.Client, timeout time.Duration) uint64 {
-	deadline := time.Now().Add(timeout)
-	for {
-		var ref uint64
-		agree := true
-		for i, cl := range admins {
-			d, err := cl.Digest(ctx)
-			if err != nil || d.State == 0 {
-				agree = false
-				break
-			}
-			if i == 0 {
-				ref = d.State
-			} else if d.State != ref {
-				agree = false
-				break
-			}
-		}
-		if agree {
-			return ref
-		}
-		if time.Now().After(deadline) {
-			states := make([]string, len(admins))
-			for i, cl := range admins {
-				if d, err := cl.Digest(ctx); err == nil {
-					states[i] = fmt.Sprintf("%016x", d.State)
-				} else {
-					states[i] = err.Error()
-				}
-			}
-			log.Fatalf("chaos-smoke: replicas did not converge within %v: %v", timeout, states)
+			log.Fatalf("%s did not reach %v within %v", family, min, timeout)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

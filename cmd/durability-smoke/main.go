@@ -1,7 +1,7 @@
 // Command durability-smoke is the CI crash-recovery gate for the
 // durable storage engine. It boots a three-node loopback cluster of real
 // canopus-server processes with -data-dir and -admin-addr, drives client
-// load over the text protocol, captures the replicas' agreed state
+// load through canopus/client, captures the replicas' agreed state
 // digest through the admin gateway, SIGKILLs every process (no drain, no
 // graceful close — a power cut), restarts the cluster from the same data
 // directories, and fails unless the recovered replicas converge to the
@@ -19,12 +19,10 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -33,6 +31,7 @@ import (
 	"time"
 
 	"canopus/admin"
+	"canopus/internal/smoke"
 )
 
 const nodes = 3
@@ -44,21 +43,23 @@ func main() {
 	timeout := flag.Duration("timeout", 60*time.Second, "overall deadline for each phase")
 	keep := flag.Bool("keep", false, "keep the data directories on exit (for debugging)")
 	flag.Parse()
+	log.SetPrefix("durability-smoke: ")
+	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 	if *server == "" {
-		log.Fatal("durability-smoke: -server is required")
+		log.Fatal("-server is required")
 	}
 
 	root, err := os.MkdirTemp("", "canopus-durability-smoke-")
 	if err != nil {
-		log.Fatal("durability-smoke: ", err)
+		log.Fatal(err)
 	}
 	if !*keep {
 		defer os.RemoveAll(root)
 	}
 
-	peerAddrs := reservePorts(nodes)
-	clientAddrs := reservePorts(nodes)
-	adminAddrs := reservePorts(nodes)
+	peerAddrs := smoke.ReservePorts(nodes)
+	clientAddrs := smoke.ReservePorts(nodes)
+	adminAddrs := smoke.ReservePorts(nodes)
 	peers := peerAddrs[0]
 	for _, a := range peerAddrs[1:] {
 		peers += "," + a
@@ -80,7 +81,7 @@ func main() {
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
-			log.Fatalf("durability-smoke: start node %d: %v", i, err)
+			log.Fatalf("start node %d: %v", i, err)
 		}
 		return cmd
 	}
@@ -97,207 +98,77 @@ func main() {
 		}
 	}()
 
-	waitAllHealthy(admins, *timeout)
-	log.Printf("durability-smoke: cluster up, driving %d PUTs", *ops)
+	smoke.WaitAllHealthy(admins, *timeout)
+	log.Printf("cluster up, driving %d PUTs", *ops)
 
-	// Drive pipelined text-protocol load, spread across all three nodes.
-	// Every reply is read back: an OK is fsync-gated by the server, so
-	// everything acked here is durable by contract — exactly what the
-	// kill below must not lose.
+	// Drive load spread across all three nodes, one PUT at a time so the
+	// WAL spans enough cycles to snapshot and truncate. Every ack is
+	// fsync-gated by the server, so everything acked here is durable by
+	// contract — exactly what the kill below must not lose.
 	for i := 0; i < nodes; i++ {
 		if err := drive(clientAddrs[i], i, *ops/nodes); err != nil {
-			log.Fatalf("durability-smoke: load via node %d: %v", i, err)
+			log.Fatalf("load via node %d: %v", i, err)
 		}
 	}
 
 	// The replicas quiesce to one identity (laggards finish the last
 	// cycles); capture it through the admin gateway.
-	before, err := converge(admins, *timeout)
-	if err != nil {
-		log.Fatal("durability-smoke: pre-kill digests: ", err)
-	}
-	log.Printf("durability-smoke: pre-kill state digest %016x", before.State)
-	if before.State == 0 {
-		log.Fatal("durability-smoke: pre-kill digest is zero; load did not apply")
-	}
-
-	// The text DIGEST verb is a shim over the same DigestSource the
-	// gateway serves; one raw-socket check keeps the shim honest.
-	if state, err := textDigest(clientAddrs[0]); err != nil {
-		log.Fatal("durability-smoke: text DIGEST shim: ", err)
-	} else if state != before.State {
-		log.Fatalf("durability-smoke: text DIGEST %016x disagrees with admin digest %016x", state, before.State)
-	}
+	before := smoke.Converge(admins, *timeout)
+	log.Printf("pre-kill state digest %016x", before.State)
 
 	// Operations-plane gate: every node's /metrics must expose the full
 	// instrument inventory, and /status must show durable progress.
 	if err := scrapeCheck(admins); err != nil {
-		log.Fatal("durability-smoke: pre-kill metrics scrape: ", err)
+		log.Fatal("pre-kill metrics scrape: ", err)
 	}
 	preDurable, err := minDurableCycle(admins)
 	if err != nil {
-		log.Fatal("durability-smoke: pre-kill status: ", err)
+		log.Fatal("pre-kill status: ", err)
 	}
 	if preDurable == 0 {
-		log.Fatal("durability-smoke: fsync-gated load left durable cycle at 0")
+		log.Fatal("fsync-gated load left durable cycle at 0")
 	}
-	log.Printf("durability-smoke: metrics + status healthy, min durable cycle %d", preDurable)
+	log.Printf("metrics + status healthy, min durable cycle %d", preDurable)
 
 	// Power cut: SIGKILL, no warning. Buffered WAL bytes past the last
 	// fsync are gone; acked writes must not be.
 	for i, p := range procs {
 		if err := p.Process.Kill(); err != nil {
-			log.Fatalf("durability-smoke: kill node %d: %v", i, err)
+			log.Fatalf("kill node %d: %v", i, err)
 		}
 		p.Wait()
 	}
-	log.Print("durability-smoke: all nodes SIGKILLed; restarting from disk")
+	log.Print("all nodes SIGKILLed; restarting from disk")
 
 	for i := range procs {
 		procs[i] = start(i)
 	}
-	waitAllHealthy(admins, *timeout)
+	smoke.WaitAllHealthy(admins, *timeout)
 
-	after, err := converge(admins, *timeout)
-	if err != nil {
-		log.Fatal("durability-smoke: post-restart digests: ", err)
-	}
+	after := smoke.Converge(admins, *timeout)
 	if after.State != before.State {
-		log.Fatalf("durability-smoke: FAIL: recovered state digest %016x != pre-kill %016x", after.State, before.State)
+		log.Fatalf("FAIL: recovered state digest %016x != pre-kill %016x", after.State, before.State)
 	}
 
 	// Recovery replays the WAL to at least the pre-kill durable cycle, so
 	// every replica's applied watermark must come back at or above it —
 	// and, at quiesce, within one convergence window of each other.
 	if err := watermarksConverged(admins, preDurable, *timeout); err != nil {
-		log.Fatal("durability-smoke: post-recovery watermarks: ", err)
+		log.Fatal("post-recovery watermarks: ", err)
 	}
-	log.Printf("durability-smoke: PASS: recovered state digest %016x matches pre-kill; watermarks re-converged", after.State)
+	log.Printf("PASS: recovered state digest %016x matches pre-kill; watermarks re-converged", after.State)
 }
 
-// reservePorts binds n loopback listeners to pick free ports, then
-// releases them for the servers to claim.
-func reservePorts(n int) []string {
-	addrs := make([]string, n)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal("durability-smoke: ", err)
-		}
-		addrs[i] = l.Addr().String()
-		l.Close()
-	}
-	return addrs
-}
-
-// waitAllHealthy polls every admin gateway until /healthz reports ok.
-// The gateway binds before WAL replay starts, so during recovery this
-// sees 503 "recovering" rather than connection-refused — and "ok" means
-// the client port is accepting too.
-func waitAllHealthy(admins []*admin.Client, timeout time.Duration) {
-	for i, cl := range admins {
-		deadline := time.Now().Add(timeout)
-		for {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			h, err := cl.Health(ctx)
-			cancel()
-			if err == nil && h.Status == "ok" {
-				break
-			}
-			if time.Now().After(deadline) {
-				log.Fatalf("durability-smoke: node %d not healthy after %v (status %q, err %v)", i, timeout, h.Status, err)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-}
-
-// drive sends n pipelined PUTs over one text-protocol connection and
-// requires an OK for each.
+// drive sends n PUTs, one at a time, through one node's client port.
 func drive(addr string, node, n int) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	w := bufio.NewWriter(conn)
+	cl := smoke.Dial(addr)
+	defer cl.Close()
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(w, "PUT %d smoke-%d-%d\n", node*1_000_000+i, node, i)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	r := bufio.NewReader(conn)
-	for i := 0; i < n; i++ {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return fmt.Errorf("reply %d: %w", i, err)
-		}
-		if line != "OK\n" {
-			return fmt.Errorf("reply %d: %q", i, line)
+		if err := cl.Put(context.Background(), uint64(node*1_000_000+i), fmt.Appendf(nil, "smoke-%d-%d", node, i)); err != nil {
+			return fmt.Errorf("put %d: %w", i, err)
 		}
 	}
 	return nil
-}
-
-// textDigest asks one node for its state digest over the legacy text
-// protocol.
-func textDigest(addr string) (uint64, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := fmt.Fprintf(conn, "DIGEST\n"); err != nil {
-		return 0, err
-	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return 0, err
-	}
-	var cycle, state, logd uint64
-	if _, err := fmt.Sscanf(line, "DIGEST %d %x %x", &cycle, &state, &logd); err != nil {
-		return 0, fmt.Errorf("reply %q: %w", line, err)
-	}
-	return state, nil
-}
-
-// converge polls every node until all report the same state digest, and
-// returns it.
-func converge(admins []*admin.Client, timeout time.Duration) (admin.Digest, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		digests := make([]admin.Digest, len(admins))
-		ok := true
-		for i, cl := range admins {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			d, err := cl.Digest(ctx)
-			cancel()
-			if err != nil {
-				ok = false
-				break
-			}
-			digests[i] = d
-		}
-		if ok {
-			same := true
-			for _, d := range digests[1:] {
-				if d.State != digests[0].State {
-					same = false
-					break
-				}
-			}
-			if same {
-				return digests[0], nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return admin.Digest{}, fmt.Errorf("replicas did not converge in %v (%+v)", timeout, digests)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
 }
 
 // instrumentPrefixes are the four subsystems the gateway must cover.

@@ -228,6 +228,20 @@ func (n *Node) onJoinReply(m *wire.JoinReply) {
 		}
 	}
 	n.view.Apply(dead)
+	if n.cfg.LeafTimeout > 0 {
+		// A super-leaf empty in the sponsor's view is evicted there. The
+		// reply omits the eviction cycle, so mark the leaf dead as of
+		// StartCycle: the next MaxInFlight cycles run as gap cycles
+		// (immediate eviction rounds the peers answer from their resolved
+		// slots), later ones substitute. Without the mark the joiner
+		// waits a full LeafTimeout on the dead leaf every cycle.
+		for sl := 0; sl < n.tree.NumSuperLeaves(); sl++ {
+			if len(n.view.Members(sl)) == 0 {
+				n.leafDeadAt[sl] = m.StartCycle
+			}
+		}
+		n.stats.leavesDead.Store(int64(len(n.leafDeadAt)))
+	}
 
 	// Install the state machine snapshot. In parallel mode the install
 	// rides the apply stage as a synthetic plan so it serializes with any

@@ -218,9 +218,7 @@ func (n *Node) onLeafSeal(origin wire.NodeID, m *wire.LeafSeal) {
 		}
 		return
 	}
-	if m.Cycle > n.started {
-		n.tryStartCycles(m.Cycle)
-	}
+	n.startPeerCycles(m.Cycle)
 	c := n.ensureCycle(m.Cycle)
 	if p := c.child[u]; p != nil {
 		// The state beat the seal in the delivery order: not sealed.
@@ -260,9 +258,7 @@ func (n *Node) onEvictQuery(m *wire.EvictQuery) {
 		n.serveEvictResolved(m.From, m.Cycle, u)
 		return
 	}
-	if m.Cycle > n.started {
-		n.tryStartCycles(m.Cycle)
-	}
+	n.startPeerCycles(m.Cycle)
 	c := n.ensureCycle(m.Cycle)
 	if p := c.child[u]; p != nil {
 		n.sendResolved(m.From, p)

@@ -163,6 +163,46 @@ func TestLeafPartitionHealReadmission(t *testing.T) {
 	}
 }
 
+// TestJoinerAdoptsEvictedLeaf: a node of a live leaf that rejoins while
+// another leaf is evicted must learn the eviction from the JoinReply's
+// view. Otherwise it waits a full LeafTimeout on the dead leaf's slot in
+// every cycle, and its leafmates, which need its round-1 proposals, slow
+// down with it.
+func TestJoinerAdoptsEvictedLeaf(t *testing.T) {
+	tc := newTestCluster(t, clusterOpts{racks: 3, perRack: 3, cfg: evictionCfg()})
+	survivors := []wire.NodeID{0, 1, 2, 3, 4, 5}
+	leaf2 := []wire.NodeID{6, 7, 8}
+	tc.runner.InstallFaults(netsim.FaultPlan{
+		Partitions: []netsim.PartitionFault{netsim.LeafPartition(300*time.Millisecond, 0, leaf2, survivors)},
+	}, nil)
+	tc.submitAt(400*time.Millisecond, 1, wr(1, 1, 100, 1)) // commits via eviction
+	tc.sim.At(1500*time.Millisecond, func() { tc.runner.Crash(0) })
+	tc.sim.At(3*time.Second, func() { tc.restartAsJoiner(0, evictionCfg(), nil) })
+	for s := 1; s <= 8; s++ {
+		tc.submitAt(4*time.Second+time.Duration(s)*100*time.Millisecond, 1, wr(1, uint64(s+1), uint64(100+s), uint64(s+1)))
+	}
+	// Sampled just after the last write: a joiner that waits out
+	// LeafTimeout on the dead leaf's slot every cycle is still behind
+	// here, and holds its leafmates back with it.
+	var applied [2]uint64
+	tc.sim.At(4900*time.Millisecond, func() { applied = [2]uint64{tc.stores[0].LogLen(), tc.stores[1].LogLen()} })
+	tc.run(6 * time.Second)
+
+	j := tc.nodes[0]
+	if j.Stalled() {
+		t.Fatal("joiner stalled")
+	}
+	if lh := j.LeafHealth(); !lh[2].Evicted {
+		t.Fatalf("joiner's leaf health = %+v, want leaf 2 evicted", lh[2])
+	}
+	if applied != [2]uint64{9, 9} {
+		t.Fatalf("at 4.9s joiner applied %d writes, leafmate %d; want all 9 on both", applied[0], applied[1])
+	}
+	if got, want := tc.stores[0].StateDigest(), tc.stores[1].StateDigest(); got != want {
+		t.Fatalf("joiner state digest %x, want %x", got, want)
+	}
+}
+
 // TestLeafMajorityCrashEviction: crashing a majority of one leaf stalls
 // its survivor (broadcast quorum loss) and silences the leaf. The other
 // leaves evict it; the survivor learns via an Evicted notice and rejoins

@@ -100,6 +100,10 @@ type Node struct {
 	cycles    map[uint64]*cycle
 	started   uint64
 	committed uint64
+	// peerCycle is the highest cycle a peer's message asked this node to
+	// start. A start declined then (apply backpressure) is retried by
+	// the cycle timer: the peer's proposal is delivered only once.
+	peerCycle uint64
 	// cycleFree recycles committed cycle structs (and their maps) so a
 	// saturated node does not allocate a fresh cycle skeleton per commit.
 	cycleFree []*cycle
@@ -485,8 +489,13 @@ func (n *Node) onCycleTimer() {
 	if n.rejoin || n.stalled {
 		return
 	}
-	if n.pendingCount() > 0 || n.started > n.committed {
+	switch {
+	case n.pendingCount() > 0 || n.started > n.committed:
 		n.tryStartCycles(n.started + 1)
+	case n.peerCycle > n.started:
+		// A client-less node declined a peer's cycle; nothing else will
+		// prompt it again.
+		n.tryStartCycles(n.peerCycle)
 	}
 }
 
@@ -620,6 +629,17 @@ func (n *Node) SubmitFluid(reads, writes, bytes uint32, samples []wire.ArrivalSa
 	n.afterSubmit()
 }
 
+// startPeerCycles is the §4.4 trigger: any message from a cycle beyond
+// the newest started one prompts starting cycles, in sequence, up to it
+// (§7.1).
+func (n *Node) startPeerCycles(k uint64) {
+	if k <= n.started {
+		return
+	}
+	n.peerCycle = max(n.peerCycle, k)
+	n.tryStartCycles(k)
+}
+
 // tryStartCycles starts cycles in sequence up to target, subject to the
 // pipelining bound, the join barrier and super-leaf health.
 func (n *Node) tryStartCycles(target uint64) {
@@ -643,7 +663,7 @@ func (n *Node) canStart(k uint64) bool {
 		// watermark too, so a slow apply stage bounds the executor's
 		// plan queue instead of letting it (and the retained cycle
 		// state) grow without limit. The cycle timer re-triggers once
-		// the executor catches up.
+		// the executor catches up (see peerCycle).
 		return false
 	}
 	if n.stallAfter != 0 && k > n.stallAfter && n.committed < n.stallAfter {

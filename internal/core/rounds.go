@@ -31,11 +31,7 @@ func (n *Node) onDeliver(origin wire.NodeID, payload wire.Message) {
 	if p.Cycle <= n.committed {
 		return // stale delivery for an already-committed cycle
 	}
-	// Any message from a cycle beyond the newest started one prompts
-	// starting cycles, in sequence, up to it (§4.4, §7.1).
-	if p.Cycle > n.started {
-		n.tryStartCycles(p.Cycle)
-	}
+	n.startPeerCycles(p.Cycle)
 	c := n.ensureCycle(p.Cycle)
 	if p.VNode == "" {
 		// A peer's round-1 origin proposal (vnode states always name
@@ -470,9 +466,7 @@ func (n *Node) onProposalRequest(from wire.NodeID, m *wire.ProposalRequest) {
 		// super-leaf can trail, so retention covers all reachable lags.
 		return
 	}
-	if m.Cycle > n.started {
-		n.tryStartCycles(m.Cycle)
-	}
+	n.startPeerCycles(m.Cycle)
 	c := n.ensureCycle(m.Cycle)
 	if p := n.stateFor(c, m.VNode); p != nil {
 		n.env.Send(from, p)
@@ -498,9 +492,7 @@ func (n *Node) onFetchResponse(p *wire.Proposal) {
 		n.onRootState(p)
 		return
 	}
-	if p.Cycle > n.started {
-		n.tryStartCycles(p.Cycle)
-	}
+	n.startPeerCycles(p.Cycle)
 	c := n.ensureCycle(p.Cycle)
 	if c.child[p.VNode] != nil || c.rebroadcast[p.VNode] {
 		return // a redundant fetch (or an earlier response) beat us to it

@@ -168,10 +168,18 @@ func runEvictCampaign(o *Options, camp evictCampaign) (string, error) {
 
 	// Eviction: the survivors' counters move once the leaf's slots
 	// resolve to tombstones (atomic reads — safe off the machine turn).
+	// Only the survivors that run an eviction round count it; one that
+	// learns the verdict from a peer's seal first counts nothing, so
+	// any survivor's counter marks the eviction.
 	evictBudget := 4 * camp.node.LeafTimeout
 	ref := int(camp.survivors[0])
 	if err := waitLive(evictBudget+10*time.Second, "leaf eviction at the survivors", func() bool {
-		return c.Node(ref).LeafEvictions() >= 1
+		for _, s := range camp.survivors {
+			if c.Node(int(s)).LeafEvictions() >= 1 {
+				return true
+			}
+		}
+		return false
 	}); err != nil {
 		return "", err
 	}

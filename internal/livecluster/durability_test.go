@@ -1,10 +1,10 @@
 package livecluster
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,29 +30,6 @@ func durableConfig(disks []*wal.MemFS) Config {
 		DataFS:         func(i int) wal.FS { return disks[i] },
 		Admin:          true,
 	}
-}
-
-// textDigest asks a node's client port for its replica identity over the
-// text protocol.
-func textDigest(t *testing.T, addr string) (cycle, state, logd uint64) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(conn, "DIGEST\n"); err != nil {
-		t.Fatal(err)
-	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		t.Fatalf("DIGEST read: %v", err)
-	}
-	if _, err := fmt.Sscanf(line, "DIGEST %d %x %x", &cycle, &state, &logd); err != nil {
-		t.Fatalf("DIGEST reply %q: %v", line, err)
-	}
-	return cycle, state, logd
 }
 
 // TestDurableRestartRecoversState is the end-to-end restart story over
@@ -159,13 +136,6 @@ func TestDurableRestartRecoversState(t *testing.T) {
 		t.Fatalf("/status state digest %s, want %016x", st0.StateDigest, wantState)
 	}
 
-	// The legacy DIGEST text verb is a shim over the same DigestSource
-	// the gateway serves; one raw-socket check keeps the shim honest.
-	_, state, logd := textDigest(t, c2.ClientAddr(0))
-	if state != wantState || logd != wantLog {
-		t.Fatalf("DIGEST reports %x/%x, replica holds %x/%x", state, logd, wantState, wantLog)
-	}
-
 	// Exactly-once across the restart: retry the session mutation with a
 	// different payload through a different node. The recovered dedup
 	// table must classify it as applied and leave the original value.
@@ -215,5 +185,115 @@ func TestDurableStatsVisible(t *testing.T) {
 	stats := c.Durability(0).Stats()
 	if stats.DurableCycle == 0 || stats.Syncs == 0 {
 		t.Fatalf("durability stats empty after an acked write: %+v", stats)
+	}
+}
+
+// snapGateFS is a MemFS whose first snapshot write blocks until release
+// is closed — a slow snapshot holding the node's apply stage still.
+type snapGateFS struct {
+	*wal.MemFS
+	once    sync.Once
+	hit     chan struct{} // closed when the snapshot write blocks
+	release chan struct{}
+}
+
+func (fs *snapGateFS) Create(name string) (wal.File, error) {
+	if strings.HasPrefix(name, "snap-") {
+		fs.once.Do(func() {
+			close(fs.hit)
+			<-fs.release
+		})
+	}
+	return fs.MemFS.Create(name)
+}
+
+// TestDurableClientlessReplicaResumesAfterApplyStall pins the
+// apply-backpressure retry. Node 2 serves no clients and its first
+// snapshot blocks its apply stage, so ordering runs ahead of apply until
+// canStart's backpressure makes node 2 decline the peers' next cycle —
+// and with it every peer stops at that cycle, since a cycle needs every
+// member's proposal. The peers' proposals for the declined cycles were
+// delivered exactly once, so once the snapshot finishes, only node 2's
+// cycle timer can start them. Without that retry the cluster stays
+// wedged for good.
+func TestDurableClientlessReplicaResumesAfterApplyStall(t *testing.T) {
+	const maxInFlight = 4
+	gate := &snapGateFS{MemFS: wal.NewMemFS(), hit: make(chan struct{}), release: make(chan struct{})}
+	disks := []wal.FS{wal.NewMemFS(), wal.NewMemFS(), gate}
+	cfg := durableConfig(nil)
+	cfg.Nodes = len(disks)
+	cfg.Node.MaxInFlight = maxInFlight
+	cfg.DataFS = func(i int) wal.FS { return disks[i] }
+	c, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop(5 * time.Second)
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer release()
+
+	// Closed-loop writers on node 0 only.
+	cl := dialClient(t, c, 0)
+	stop := make(chan struct{})
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := cl.Put(context.Background(), uint64(w<<20|i), []byte("x")); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	select {
+	case <-gate.hit:
+	case <-time.After(10 * time.Second):
+		t.Fatal("node 2 never took a snapshot")
+	}
+	// Ordering on node 2 runs ahead of its stalled apply until the
+	// backpressure bound declines the next cycle.
+	stalled := c.Node(2)
+	waitFor(t, 10*time.Second, "node 2 to reach apply backpressure", func() bool {
+		return stalled.Ordered() >= stalled.Committed()+2*maxInFlight
+	})
+	wedged := stalled.Ordered()
+	// Hold the snapshot until both peers' round-1 proposals for the last
+	// cycle they may start have reached node 2 (and been declined): from
+	// then on no peer message can prompt node 2 again.
+	last := wedged + maxInFlight
+	waitFor(t, 10*time.Second, "the peers' proposals for the declined cycles", func() bool {
+		var s string
+		c.Runner(2).Invoke(func() { s = stalled.DebugCycle(last) })
+		return strings.Contains(s, " r1=2 ")
+	})
+	release()
+
+	waitFor(t, 10*time.Second, "commits past the declined cycle on every node", func() bool {
+		for i := 0; i < c.NumNodes(); i++ {
+			if c.Node(i).Committed() < wedged+4*maxInFlight {
+				return false
+			}
+		}
+		return true
+	})
+	select {
+	case err := <-errs:
+		t.Fatalf("put failed: %v", err)
+	default:
 	}
 }

@@ -1,11 +1,9 @@
 package livecluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -220,93 +218,55 @@ func TestSequentialReadWaitsForCycle(t *testing.T) {
 	}
 }
 
-// TestV1ProtocolStillAccepted drives the legacy v1 binary protocol over
-// a raw socket: v1 connections are sniffed per connection and served
-// alongside v2 and text.
-func TestV1ProtocolStillAccepted(t *testing.T) {
+// TestOnlyV3PreambleAccepted pins the single client dialect: a
+// connection that opens with the retired v1 or v2 preamble, or with a
+// text command, is closed without a reply and without admitting a
+// request, and the port keeps serving v3 clients.
+func TestOnlyV3PreambleAccepted(t *testing.T) {
 	c := startCluster(t, 3)
 	defer c.Stop(5 * time.Second)
+	port := c.Port(0)
 
-	conn, err := net.Dial("tcp", c.ClientAddr(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(wire.ClientMagic[:]); err != nil {
-		t.Fatal(err)
-	}
-	send := func(q wire.ClientRequest) wire.ClientResponse {
-		t.Helper()
-		if _, err := conn.Write(wire.AppendClientRequest(nil, &q)); err != nil {
-			t.Fatal(err)
-		}
-		var hdr [4]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			t.Fatal(err)
-		}
-		n, err := wire.ClientFrameLen(hdr)
+	put := wire.ClientRequestV2{ID: 1, Ops: []wire.ClientOp{{Op: wire.OpWrite, Key: 1, Val: []byte("bad")}}}
+	frame := wire.AppendClientRequestV2(nil, &put)
+	for _, tc := range []struct {
+		name  string
+		bytes []byte
+	}{
+		{"v1", append([]byte{0xC4, 'N', 'P', 0x01}, frame...)},
+		{"v2", append([]byte{0xC4, 'N', 'P', 0x02}, frame...)},
+		{"text", []byte("GET 1\nPUT 1 bad\n")},
+	} {
+		conn, err := net.Dial("tcp", c.ClientAddr(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			t.Fatal(err)
+		if _, err := conn.Write(tc.bytes); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		resp, err := wire.ParseClientResponse(payload)
-		if err != nil {
-			t.Fatal(err)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(make([]byte, 64))
+		conn.Close()
+		// EOF, or a reset when the port closed with our bytes unread.
+		var ne net.Error
+		if n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("%s: read %d bytes, %v; want the connection closed unanswered", tc.name, n, err)
 		}
-		return resp
+		if o := port.Outstanding(); o != 0 {
+			t.Fatalf("%s: %d requests outstanding", tc.name, o)
+		}
 	}
-	if resp := send(wire.ClientRequest{ID: 1, Op: wire.OpWrite, Key: 5, Val: []byte("v1-write")}); resp.Status != wire.ClientStatusOK {
-		t.Fatalf("v1 put status %d", resp.Status)
-	}
-	if resp := send(wire.ClientRequest{ID: 2, Op: wire.OpRead, Key: 5}); resp.Status != wire.ClientStatusOK || string(resp.Val) != "v1-write" {
-		t.Fatalf("v1 get = %q (status %d)", resp.Val, resp.Status)
-	}
-	if resp := send(wire.ClientRequest{ID: 3, Op: wire.OpRead, Key: 99}); resp.Status != wire.ClientStatusNil {
-		t.Fatalf("v1 miss status %d", resp.Status)
-	}
-}
 
-func TestTextProtocol(t *testing.T) {
-	c := startCluster(t, 3)
-	defer c.Stop(5 * time.Second)
-
-	conn, err := net.Dial("tcp", c.ClientAddr(0))
-	if err != nil {
+	cl := dialClient(t, c, 0)
+	ctx := context.Background()
+	if _, err := cl.Get(ctx, 1); !errorsIsNotFound(err) {
+		t.Fatalf("Get(1) = %v; a rejected connection's write was admitted", err)
+	}
+	if err := cl.Put(ctx, 1, []byte("v3")); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	say := func(line string) string {
-		t.Helper()
-		if _, err := fmt.Fprintln(conn, line); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reply
-	}
-	if got := say("PUT 3 abc def"); got != "OK\n" {
-		t.Fatalf("PUT reply %q", got)
-	}
-	if got := say("GET 3"); got != "VALUE abc def\n" {
-		t.Fatalf("GET reply %q", got)
-	}
-	if got := say("GET 4"); got != "NIL\n" {
-		t.Fatalf("GET miss reply %q", got)
-	}
-	if got := say("DEL 3"); got != "OK\n" {
-		t.Fatalf("DEL reply %q", got)
-	}
-	if got := say("GET 3"); got != "NIL\n" {
-		t.Fatalf("GET after DEL reply %q", got)
-	}
-	if got := say("FROB"); got != "ERR unknown command\n" {
-		t.Fatalf("bad command reply %q", got)
+	if v, err := cl.Get(ctx, 1); err != nil || string(v) != "v3" {
+		t.Fatalf("Get(1) = %q, %v", v, err)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,30 +25,19 @@ import (
 // client cannot monopolize the node's serialization lock.
 const maxGroup = 512
 
-// Connection protocol modes, sniffed from the preamble.
-const (
-	modeText uint8 = iota // line-oriented text protocol
-	modeV1                // binary protocol v1 (wire.ClientRequest)
-	modeV2                // binary protocol v2 (wire.ClientRequestV2)
-)
-
 // ClientPort serves canopus-server's client protocol for one node: the
-// length-prefixed binary protocols v1 and v2 (see internal/wire) for
-// programs, and the line-oriented text protocol (GET/PUT/QUIT) for
-// interactive use — all sniffed per connection from the preamble.
+// pipelined, length-prefixed protocol v3 of internal/wire. A connection
+// that does not open with the v3 preamble is closed unanswered.
 //
-// Protocol v2 adds per-request consistency levels: Linearizable
-// operations enter consensus exactly like v1 traffic, while Sequential
-// and Stale reads are answered from the node's committed state
+// Linearizable operations enter consensus, while Sequential and Stale
+// reads are answered from the node's committed state
 // (core.Node.ReadLocal) without starting or riding a consensus cycle.
-//
-// Protocol v3 is v2 plus the event plane: WATCH/UNWATCH registration
-// frames, server-push EVENT frames fed by the node's event hub
-// (internal/events), and multi-op TXN frames that ride consensus as one
-// wire.OpTxn request. Watch registration and cancellation never enter a
-// machine turn — the hub has its own lock — and event fan-out runs on
-// the hub's Publish caller (the apply executor), writing only to
-// per-connection output buffers.
+// WATCH/UNWATCH frames register with the node's event hub
+// (internal/events), which pushes EVENT frames; multi-op TXN frames
+// ride consensus as one wire.OpTxn request. Watch registration and
+// cancellation never enter a machine turn — the hub has its own lock —
+// and event fan-out runs on the hub's Publish caller (the apply
+// executor), writing only to per-connection output buffers.
 //
 // Replies are fanned out batch-aware and off the consensus turn: the
 // port owns the node's OnReplyBatch callback — which, with the parallel
@@ -102,10 +89,6 @@ type ClientPort struct {
 	// (session, seq) identity, not the connection. Guarded by mu.
 	sessPending map[sessKey]sessEntry
 
-	// digest backs the text protocol's DIGEST command (set before
-	// AcceptClients; nil disables the command).
-	digest func() (cycle, state, log uint64)
-
 	// stats are the port's operational counters (see RegisterMetrics);
 	// the in-flight gauge is the outstanding counter above.
 	stats portStats
@@ -132,17 +115,16 @@ type sessEntry struct {
 }
 
 // pendingEntry maps one submitted request back to its completion target:
-// a connection frame (text/v1/v2, optionally one slot of a v2 batch) or
-// a local done callback.
+// a connection frame (optionally one slot of a batch frame) or a local
+// done callback.
 type pendingEntry struct {
-	id   uint64 // correlation ID (unused in text mode)
-	mode uint8
+	id   uint64                    // correlation ID
 	done func(val []byte, ok bool) // SubmitLocal completion; nil for sockets
-	agg  *batchAgg                 // v2 batch aggregation; nil for single ops
+	agg  *batchAgg                 // batch aggregation; nil for single ops
 	idx  int                       // slot in agg.results
 }
 
-// batchAgg accumulates one v2 batch frame's per-op results; the response
+// batchAgg accumulates one batch frame's per-op results; the response
 // is pushed when the last sub-op completes. Guarded by the port mutex,
 // like the pending maps feeding it. Aggregates and their result slices
 // are pooled — recycled the moment the response frame is encoded.
@@ -234,12 +216,6 @@ func NewClientPort(runner *transport.Runner, node *core.Node, addr string) (*Cli
 func (p *ClientPort) AcceptClients() {
 	p.accept.Do(func() { go p.acceptLoop() })
 }
-
-// SetDigestFunc installs the source of the text protocol's DIGEST
-// command: a coherent (committed cycle, state digest, log digest)
-// snapshot of the node's replica. Set it before AcceptClients; a port
-// without one rejects the command.
-func (p *ClientPort) SetDigestFunc(fn func() (cycle, state, log uint64)) { p.digest = fn }
 
 // SetHub installs the node's event hub, enabling the v3 watch surface.
 // Set it before AcceptClients; without one, WATCH frames are rejected.
@@ -355,36 +331,23 @@ func (p *ClientPort) acceptLoop() {
 }
 
 // handle drives one connection's read side until EOF or protocol error.
+// A connection that does not open with the v3 preamble is closed
+// unanswered.
 func (p *ClientPort) handle(cc *clientConn) {
 	defer p.teardown(cc)
 	br := bufio.NewReaderSize(cc.conn, 64<<10)
-	first, err := br.Peek(1)
-	if err != nil {
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != wire.ClientMagicV3 {
 		return
 	}
-	if first[0] == wire.ClientMagic[0] {
-		var magic [4]byte
-		if _, err := io.ReadFull(br, magic[:]); err != nil {
-			return
-		}
-		switch magic {
-		case wire.ClientMagic:
-			p.handleBinary(cc, br)
-		case wire.ClientMagicV2:
-			p.handleV2(cc, br)
-		case wire.ClientMagicV3:
-			p.handleV3(cc, br)
-		}
-		return
-	}
-	p.handleText(cc, br)
+	p.handleV3(cc, br)
 }
 
-// teardown retires the connection. The read side is already done (EOF,
-// QUIT or protocol error), but submitted requests may still be in
-// consensus: wait briefly so their replies reach the output buffer and
-// are flushed before the writer closes the socket (a client that sends
-// GET then QUIT still gets its value).
+// teardown retires the connection. The read side is already done (EOF
+// or protocol error), but submitted requests may still be in consensus:
+// wait briefly so their replies reach the output buffer and are flushed
+// before the writer closes the socket (a client that half-closes after
+// its last request still gets every reply).
 func (p *ClientPort) teardown(cc *clientConn) {
 	// Watches die with the read side: no one is left to UNWATCH, and the
 	// writer is about to close, so stop the event flow now rather than
@@ -515,9 +478,7 @@ func (p *ClientPort) completeEntry(cc *clientConn, entry pendingEntry, op wire.O
 		}
 		p.completeBatchOp(cc, entry.agg, entry.idx, status, wire.CodeNone, val, cycle)
 		return // completeBatchOp owns the outstanding decrement
-	case entry.mode == modeText:
-		cc.push(func(b []byte) []byte { return appendTextReply(b, op, val) })
-	case entry.mode == modeV2:
+	default:
 		resp := wire.ClientResponseV2{ID: entry.id, Status: wire.ClientStatusOK, Cycle: cycle, Val: val}
 		if op == wire.OpRead && val == nil {
 			resp.Status = wire.ClientStatusNil
@@ -529,17 +490,11 @@ func (p *ClientPort) completeEntry(cc *clientConn, entry pendingEntry, op wire.O
 			resp.Status, resp.Val = wire.ClientStatusErr, []byte("txn result displaced")
 		}
 		cc.push(func(b []byte) []byte { return wire.AppendClientResponseV2(b, &resp) })
-	default: // modeV1
-		resp := wire.ClientResponse{ID: entry.id, Status: wire.ClientStatusOK, Val: val}
-		if op == wire.OpRead && val == nil {
-			resp.Status = wire.ClientStatusNil
-		}
-		cc.push(func(b []byte) []byte { return wire.AppendClientResponse(b, &resp) })
 	}
 	p.outstanding.Add(-1)
 }
 
-// completeBatchOp fills one slot of a v2 batch and pushes the aggregate
+// completeBatchOp fills one slot of a batch frame and pushes the aggregate
 // response when the batch is complete. Runs with the port mutex held.
 func (p *ClientPort) completeBatchOp(cc *clientConn, agg *batchAgg, idx int, status, code uint8, val []byte, cycle uint64) {
 	if status == wire.ClientStatusOK && val != nil {
@@ -665,37 +620,13 @@ func (p *ClientPort) dropSessPendingLocked(cc *clientConn) {
 	}
 }
 
-func appendTextReply(b []byte, op wire.Op, val []byte) []byte {
-	if op.Mutates() {
-		return append(b, "OK\n"...)
-	}
-	if val == nil {
-		return append(b, "NIL\n"...)
-	}
-	b = append(b, "VALUE "...)
-	b = append(b, val...)
-	return append(b, '\n')
-}
-
 // reject answers a request without consulting the node.
-func (p *ClientPort) reject(cc *clientConn, mode uint8, id uint64, code uint8, reason string) {
-	switch mode {
-	case modeText:
-		cc.push(func(b []byte) []byte {
-			b = append(b, "ERR "...)
-			b = append(b, reason...)
-			return append(b, '\n')
-		})
-	case modeV2:
-		resp := wire.ClientResponseV2{ID: id, Status: wire.ClientStatusErr, Code: code, Val: []byte(reason)}
-		cc.push(func(b []byte) []byte { return wire.AppendClientResponseV2(b, &resp) })
-	default:
-		resp := wire.ClientResponse{ID: id, Status: wire.ClientStatusErr, Val: []byte(reason)}
-		cc.push(func(b []byte) []byte { return wire.AppendClientResponse(b, &resp) })
-	}
+func (p *ClientPort) reject(cc *clientConn, id uint64, code uint8, reason string) {
+	resp := wire.ClientResponseV2{ID: id, Status: wire.ClientStatusErr, Code: code, Val: []byte(reason)}
+	cc.push(func(b []byte) []byte { return wire.AppendClientResponseV2(b, &resp) })
 }
 
-// rejectBatch answers an entire v2 batch frame with a frame-level code.
+// rejectBatch answers an entire batch frame with a frame-level code.
 func (p *ClientPort) rejectBatch(cc *clientConn, id uint64, code uint8) {
 	resp := wire.ClientResponseV2{ID: id, Batch: true, Code: code}
 	cc.push(func(b []byte) []byte { return wire.AppendClientResponseV2(b, &resp) })
@@ -718,45 +649,17 @@ func (p *ClientPort) track(cc *clientConn, entry pendingEntry) (uint64, bool) {
 	return seq, true
 }
 
-// submit hands a group of parsed v1/text requests to the node in one
-// machine turn, registering each for reply routing.
-func (p *ClientPort) submit(cc *clientConn, group []wire.ClientRequest, mode uint8) {
-	if p.draining.Load() {
-		for i := range group {
-			p.reject(cc, mode, group[i].ID, wire.CodeDraining, "draining")
-		}
-		return
-	}
-	p.runner.Invoke(func() {
-		stalled := p.node().Stalled()
-		for i := range group {
-			q := &group[i]
-			if stalled {
-				p.reject(cc, mode, q.ID, wire.CodeStalled, "node stalled")
-				continue
-			}
-			seq, ok := p.track(cc, pendingEntry{id: q.ID, mode: mode})
-			if !ok {
-				return // torn down concurrently
-			}
-			p.node().Submit(wire.Request{
-				Client: cc.id, Seq: seq, Op: q.Op, Key: q.Key, Val: q.Val,
-			})
-		}
-	})
-}
-
-// submitV2 hands a group of parsed v2 frames to the node in one machine
-// turn. Linearizable operations (and all mutations) enter consensus;
-// Sequential/Stale reads take the committed-state local path and never
-// start a cycle.
+// submitV2 hands a group of parsed frames of kinds 1–6 and 9 to the
+// node in one machine turn. Linearizable operations (and all mutations)
+// enter consensus; Sequential/Stale reads take the committed-state local
+// path and never start a cycle.
 func (p *ClientPort) submitV2(cc *clientConn, group []wire.ClientRequestV2) {
 	if p.draining.Load() {
 		for i := range group {
 			if group[i].Batch {
 				p.rejectBatch(cc, group[i].ID, wire.CodeDraining)
 			} else {
-				p.reject(cc, modeV2, group[i].ID, wire.CodeDraining, "draining")
+				p.reject(cc, group[i].ID, wire.CodeDraining, "draining")
 			}
 		}
 		return
@@ -789,14 +692,14 @@ func (p *ClientPort) submitV2(cc *clientConn, group []wire.ClientRequestV2) {
 			op := &q.Ops[0]
 			if op.Op == wire.OpRead && q.Consistency != wire.Linearizable {
 				if !p.minCycleSane(q.MinCycle) {
-					p.reject(cc, modeV2, q.ID, wire.CodeBadRequest, "minCycle too far ahead")
+					p.reject(cc, q.ID, wire.CodeBadRequest, "minCycle too far ahead")
 					continue
 				}
 				p.localRead(cc, q.ID, op.Key, q.MinCycle)
 				continue
 			}
 			if p.node().Stalled() {
-				p.reject(cc, modeV2, q.ID, wire.CodeStalled, "node stalled")
+				p.reject(cc, q.ID, wire.CodeStalled, "node stalled")
 				continue
 			}
 			if q.Session != 0 && op.Op.Mutates() {
@@ -804,14 +707,14 @@ func (p *ClientPort) submitV2(cc *clientConn, group []wire.ClientRequestV2) {
 				// identity travels into consensus, so the apply-path
 				// dedup table recognizes a retried committed op.
 				p.mu.Lock()
-				p.putSessPendingLocked(sessKey{q.Session, q.Seq}, sessEntry{cc: cc, e: pendingEntry{id: q.ID, mode: modeV2}})
+				p.putSessPendingLocked(sessKey{q.Session, q.Seq}, sessEntry{cc: cc, e: pendingEntry{id: q.ID}})
 				p.mu.Unlock()
 				p.node().Submit(wire.Request{
 					Client: q.Session, Seq: q.Seq, Op: op.Op, Key: op.Key, Val: op.Val,
 				})
 				continue
 			}
-			seq, ok := p.track(cc, pendingEntry{id: q.ID, mode: modeV2})
+			seq, ok := p.track(cc, pendingEntry{id: q.ID})
 			if !ok {
 				return // torn down concurrently
 			}
@@ -831,7 +734,7 @@ func (p *ClientPort) registerSession(cc *clientConn, id uint64) {
 		if !ok {
 			// Could not commit here (stall / shutdown): retryable
 			// elsewhere, exactly like a draining rejection.
-			p.reject(cc, modeV2, id, wire.CodeDraining, "cannot register session")
+			p.reject(cc, id, wire.CodeDraining, "cannot register session")
 			p.outstanding.Add(-1)
 			return
 		}
@@ -850,7 +753,7 @@ func (p *ClientPort) expireSession(cc *clientConn, id, session uint64) {
 	p.admitRequest()
 	p.node().ExpireSession(session, func(ok bool) {
 		if !ok {
-			p.reject(cc, modeV2, id, wire.CodeDraining, "cannot expire session")
+			p.reject(cc, id, wire.CodeDraining, "cannot expire session")
 			p.outstanding.Add(-1)
 			return
 		}
@@ -961,14 +864,14 @@ func (p *ClientPort) submitV2Batch(cc *clientConn, q *wire.ClientRequestV2) {
 			seq := sessSeq
 			sessSeq++
 			p.mu.Lock()
-			p.putSessPendingLocked(sessKey{q.Session, seq}, sessEntry{cc: cc, e: pendingEntry{id: q.ID, mode: modeV2, agg: agg, idx: i}})
+			p.putSessPendingLocked(sessKey{q.Session, seq}, sessEntry{cc: cc, e: pendingEntry{id: q.ID, agg: agg, idx: i}})
 			p.mu.Unlock()
 			p.node().Submit(wire.Request{
 				Client: q.Session, Seq: seq, Op: op.Op, Key: op.Key, Val: op.Val,
 			})
 			continue
 		}
-		seq, ok := p.track(cc, pendingEntry{id: q.ID, mode: modeV2, agg: agg, idx: i})
+		seq, ok := p.track(cc, pendingEntry{id: q.ID, agg: agg, idx: i})
 		if !ok {
 			return // torn down concurrently; teardown retired the accounting
 		}
@@ -987,18 +890,18 @@ func (p *ClientPort) submitV2Batch(cc *clientConn, q *wire.ClientRequestV2) {
 // connection identity. Runs inside the machine turn.
 func (p *ClientPort) submitTxn(cc *clientConn, q *wire.ClientRequestV2) {
 	if p.node().Stalled() {
-		p.reject(cc, modeV2, q.ID, wire.CodeStalled, "node stalled")
+		p.reject(cc, q.ID, wire.CodeStalled, "node stalled")
 		return
 	}
 	body := wire.AppendTxn(nil, &wire.Txn{Guards: q.TxnGuards, Ops: q.TxnOps})
 	if q.Session != 0 {
 		p.mu.Lock()
-		p.putSessPendingLocked(sessKey{q.Session, q.Seq}, sessEntry{cc: cc, e: pendingEntry{id: q.ID, mode: modeV2}})
+		p.putSessPendingLocked(sessKey{q.Session, q.Seq}, sessEntry{cc: cc, e: pendingEntry{id: q.ID}})
 		p.mu.Unlock()
 		p.node().Submit(wire.Request{Client: q.Session, Seq: q.Seq, Op: wire.OpTxn, Val: body})
 		return
 	}
-	seq, ok := p.track(cc, pendingEntry{id: q.ID, mode: modeV2})
+	seq, ok := p.track(cc, pendingEntry{id: q.ID})
 	if !ok {
 		return // torn down concurrently
 	}
@@ -1019,11 +922,11 @@ func (p *ClientPort) submitTxn(cc *clientConn, q *wire.ClientRequestV2) {
 // carry into a failover.
 func (p *ClientPort) handleWatch(cc *clientConn, q *wire.ClientRequestV2) {
 	if p.hub() == nil {
-		p.reject(cc, modeV2, q.ID, wire.CodeBadRequest, "watches not enabled")
+		p.reject(cc, q.ID, wire.CodeBadRequest, "watches not enabled")
 		return
 	}
 	if p.draining.Load() {
-		p.reject(cc, modeV2, q.ID, wire.CodeDraining, "draining")
+		p.reject(cc, q.ID, wire.CodeDraining, "draining")
 		return
 	}
 	p.mu.Lock()
@@ -1045,7 +948,7 @@ func (p *ClientPort) handleWatch(cc *clientConn, q *wire.ClientRequestV2) {
 	if err != nil {
 		// Resume point already evicted (or the replay itself overflowed):
 		// the feed cannot be gap-free. The client must re-read state.
-		p.reject(cc, modeV2, q.ID, wire.CodeWatchOverflow, "watch resume point evicted")
+		p.reject(cc, q.ID, wire.CodeWatchOverflow, "watch resume point evicted")
 		return
 	}
 	p.mu.Lock()
@@ -1140,7 +1043,7 @@ func (p *ClientPort) SubmitLocal(op wire.Op, key uint64, val []byte, done func(v
 }
 
 // RegisterLocal proposes a fresh replicated session without a socket —
-// the Cluster-interface twin of the v2 register frame. done runs from
+// the Cluster-interface twin of the register frame. done runs from
 // the node's machine turn (it must not block) with the committed session
 // ID; ok=false means the port is draining or the node cannot commit.
 func (p *ClientPort) RegisterLocal(done func(id uint64, ok bool)) {
@@ -1196,12 +1099,13 @@ func (p *ClientPort) SubmitSessionLocal(session, seq uint64, op wire.Op, key uin
 	})
 }
 
-// handleBinary runs the pipelined binary protocol v1: all complete
-// frames already buffered are batched into a single submit turn.
-func (p *ClientPort) handleBinary(cc *clientConn, br *bufio.Reader) {
+// handleV3 runs the pipelined client protocol: every complete frame
+// already buffered joins one group, submitted in a single machine turn,
+// with one value arena per group.
+func (p *ClientPort) handleV3(cc *clientConn, br *bufio.Reader) {
 	var hdr [4]byte
 	var payload []byte // reused; parsed payloads copy into the group arena
-	group := make([]wire.ClientRequest, 0, maxGroup)
+	group := make([]wire.ClientRequestV2, 0, maxGroup)
 	for {
 		group = group[:0]
 		// One value arena per accepted group: every parsed payload is
@@ -1212,85 +1116,10 @@ func (p *ClientPort) handleBinary(cc *clientConn, br *bufio.Reader) {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
-		q, err := readBinaryRequest(br, hdr, &payload, &arena)
-		if err != nil {
-			return
-		}
-		group = append(group, q)
-		// Drain whatever full frames the kernel already delivered.
-		for len(group) < maxGroup && br.Buffered() >= 4 {
-			peek, _ := br.Peek(4)
-			n, err := wire.ClientFrameLen([4]byte(peek))
-			if err != nil {
-				return
-			}
-			if br.Buffered() < 4+n {
-				break
-			}
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				return
-			}
-			q, err := readBinaryRequest(br, hdr, &payload, &arena)
-			if err != nil {
-				return
-			}
-			group = append(group, q)
-		}
-		p.submit(cc, group, modeV1)
-	}
-}
-
-// handleV2 runs the pipelined binary protocol v2, with the same
-// group-per-turn batching and per-group value arena as v1.
-func (p *ClientPort) handleV2(cc *clientConn, br *bufio.Reader) {
-	var hdr [4]byte
-	var payload []byte
-	group := make([]wire.ClientRequestV2, 0, maxGroup)
-	for {
-		group = group[:0]
-		var arena []byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		if err := readV2Request(br, hdr, &payload, &arena, appendV2Slot(&group)); err != nil {
-			return
-		}
-		for len(group) < maxGroup && br.Buffered() >= 4 {
-			peek, _ := br.Peek(4)
-			n, err := wire.ClientFrameLen([4]byte(peek))
-			if err != nil {
-				return
-			}
-			if br.Buffered() < 4+n {
-				break
-			}
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				return
-			}
-			if err := readV2Request(br, hdr, &payload, &arena, appendV2Slot(&group)); err != nil {
-				return
-			}
-		}
-		p.submitV2(cc, group)
-	}
-}
-
-// handleV3 runs the pipelined binary protocol v3: v2's group-per-turn
-// batching with the v3 parser on top. Completion entries reuse modeV2 —
-// every non-event v3 response is bit-identical to its v2 encoding.
-func (p *ClientPort) handleV3(cc *clientConn, br *bufio.Reader) {
-	var hdr [4]byte
-	var payload []byte
-	group := make([]wire.ClientRequestV2, 0, maxGroup)
-	for {
-		group = group[:0]
-		var arena []byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
 		if err := readV3Request(br, hdr, &payload, &arena, appendV2Slot(&group)); err != nil {
 			return
 		}
+		// Drain whatever full frames the kernel already delivered.
 		for len(group) < maxGroup && br.Buffered() >= 4 {
 			peek, _ := br.Peek(4)
 			n, err := wire.ClientFrameLen([4]byte(peek))
@@ -1353,22 +1182,6 @@ func appendV2Slot(group *[]wire.ClientRequestV2) *wire.ClientRequestV2 {
 	return &g[len(g)-1]
 }
 
-func readBinaryRequest(br *bufio.Reader, hdr [4]byte, scratch, arena *[]byte) (wire.ClientRequest, error) {
-	payload, err := readFrame(br, hdr, scratch)
-	if err != nil {
-		return wire.ClientRequest{}, err
-	}
-	return wire.ParseClientRequestArena(payload, arena)
-}
-
-func readV2Request(br *bufio.Reader, hdr [4]byte, scratch, arena *[]byte, q *wire.ClientRequestV2) error {
-	payload, err := readFrame(br, hdr, scratch)
-	if err != nil {
-		return err
-	}
-	return wire.ParseClientRequestV2Into(payload, q, arena)
-}
-
 func readV3Request(br *bufio.Reader, hdr [4]byte, scratch, arena *[]byte, q *wire.ClientRequestV2) error {
 	payload, err := readFrame(br, hdr, scratch)
 	if err != nil {
@@ -1404,82 +1217,6 @@ func (p *ClientPort) waitIdle(cc *clientConn, timeout time.Duration) {
 			return
 		}
 		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-// handleText runs the interactive line protocol.
-func (p *ClientPort) handleText(cc *clientConn, br *bufio.Reader) {
-	sc := bufio.NewScanner(br)
-	group := make([]wire.ClientRequest, 0, 1)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		var q wire.ClientRequest
-		switch strings.ToUpper(fields[0]) {
-		case "PUT":
-			if len(fields) < 3 {
-				p.reject(cc, modeText, 0, wire.CodeBadRequest, "usage: PUT <key> <value>")
-				continue
-			}
-			k, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				p.reject(cc, modeText, 0, wire.CodeBadRequest, "bad key")
-				continue
-			}
-			q = wire.ClientRequest{Op: wire.OpWrite, Key: k, Val: []byte(strings.Join(fields[2:], " "))}
-		case "GET":
-			if len(fields) != 2 {
-				p.reject(cc, modeText, 0, wire.CodeBadRequest, "usage: GET <key>")
-				continue
-			}
-			k, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				p.reject(cc, modeText, 0, wire.CodeBadRequest, "bad key")
-				continue
-			}
-			q = wire.ClientRequest{Op: wire.OpRead, Key: k}
-		case "DEL":
-			if len(fields) != 2 {
-				p.reject(cc, modeText, 0, wire.CodeBadRequest, "usage: DEL <key>")
-				continue
-			}
-			k, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				p.reject(cc, modeText, 0, wire.CodeBadRequest, "bad key")
-				continue
-			}
-			q = wire.ClientRequest{Op: wire.OpDelete, Key: k}
-		case "DIGEST":
-			// Replica identity check, used by the durability smoke test:
-			// answer with the committed cycle and the replica's state and
-			// log digests. The preceding waitIdle already ordered this
-			// after every earlier command's (fsync-gated) reply, so the
-			// digest covers everything this connection was acked for.
-			if p.digest == nil {
-				p.reject(cc, modeText, 0, wire.CodeBadRequest, "digest not enabled")
-				continue
-			}
-			cycle, state, logd := p.digest()
-			cc.push(func(b []byte) []byte {
-				return fmt.Appendf(b, "DIGEST %d %016x %016x\n", cycle, state, logd)
-			})
-			continue
-		case "QUIT":
-			return
-		default:
-			p.reject(cc, modeText, 0, wire.CodeBadRequest, "unknown command")
-			continue
-		}
-		group = append(group[:0], q)
-		p.submit(cc, group, modeText)
-		// The text protocol has no correlation IDs, so replies must be
-		// strictly ordered with commands: wait for this command's reply
-		// to reach the output buffer before reading the next line (which
-		// might be rejected immediately, e.g. a parse error, and would
-		// otherwise overtake a consensus-path reply).
-		p.waitIdle(cc, 10*time.Second)
 	}
 }
 
@@ -1595,10 +1332,10 @@ func (p *ClientPort) Abort() {
 	}
 }
 
-// DigestSource builds a SetDigestFunc source for one node: it reads the
-// replica with the apply pipeline quiesced (InspectApplied in parallel
-// mode, a machine turn in serial mode), so the digest is a consistent
-// cut at a cycle boundary. Cluster.Start and canopus-server share it.
+// DigestSource builds a replica-identity source for one node: it reads
+// the replica with the apply pipeline quiesced (InspectApplied in
+// parallel mode, a machine turn in serial mode), so the digest is a
+// consistent cut at a cycle boundary. StatusSource layers over it.
 func DigestSource(runner *transport.Runner, node *core.Node, st *kvstore.Store) func() (uint64, uint64, uint64) {
 	return func() (cycle, state, logd uint64) {
 		read := func() {

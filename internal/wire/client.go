@@ -6,30 +6,41 @@ import (
 	"fmt"
 )
 
-// Binary client protocol. canopus-server's client port speaks two
-// protocols, distinguished by the first byte of the connection: the
-// line-oriented text protocol ("GET 7\n") for interactive use, and this
-// length-prefixed binary protocol for programs. The binary protocol is
-// pipelined: a client may have any number of requests outstanding, and
-// responses carry the request's correlation ID so they can complete out
-// of submission order (within one connection the server preserves order,
-// but clients must not rely on it).
+// Client protocol v3. canopus-server's client port speaks exactly one
+// protocol: this pipelined, length-prefixed binary protocol. A client
+// may have any number of requests outstanding, and responses carry the
+// request's correlation ID so they can complete out of submission order
+// (within one connection the server preserves order, but clients must
+// not rely on it). Server-push event frames carry a watch ID instead.
 //
-// Connection preamble (client -> server): the 4 magic bytes of
-// ClientMagic. The first byte is outside ASCII so the server can sniff
-// binary vs text mode from one byte.
+// Connection preamble (client -> server): the 4 bytes of ClientMagicV3.
+// The server closes a connection that opens with anything else, without
+// a reply.
 //
 // Frames in both directions are [u32 length][payload], little-endian,
-// where length counts payload bytes only:
+// where length counts payload bytes only. Every payload opens with
+// [u64 id][u8 kind]:
 //
-//	request payload:  [u64 id][u8 op][u64 key][u32 vlen][vlen bytes]
-//	response payload: [u64 id][u8 status][u32 vlen][vlen bytes]
+//	kind  request            response
+//	1     op                 single-op result
+//	2     batch              batch results
+//	3     session register   -
+//	4     session op         -
+//	5     session batch      -
+//	6     session expire     -
+//	7     watch              event (server push)
+//	8     unwatch            -
+//	9     txn                -
+//
+// Every request other than a batch answers with a single-op result.
+// Kinds 1–6 are laid out below under "Kinds 1–6", kinds 7–9 under
+// "Kinds 7–9". The Go types keep their historical V2 names
+// (ClientRequestV2, ClientResponseV2): kinds 1–6 were introduced by
+// protocol v2, which the server no longer accepts.
 //
 // Statuses: OK (write acknowledged / read hit, value attached), Nil
-// (read miss), Err (request rejected; value is a human-readable reason).
-
-// ClientMagic is the binary-mode connection preamble.
-var ClientMagic = [4]byte{0xC4, 'N', 'P', 0x01}
+// (read miss), Err (request rejected; value is a human-readable reason,
+// code a machine-readable one).
 
 // Client response statuses.
 const (
@@ -49,83 +60,6 @@ const MaxBatchOps = 512
 // ErrClientFrame is returned for malformed client protocol frames.
 var ErrClientFrame = errors.New("wire: bad client frame")
 
-// ClientRequest is one keyed operation on the binary client port. ID is
-// the client-chosen correlation ID echoed in the response.
-type ClientRequest struct {
-	ID  uint64
-	Op  Op
-	Key uint64
-	Val []byte // write payload; nil for reads
-}
-
-// ClientResponse answers one ClientRequest.
-type ClientResponse struct {
-	ID     uint64
-	Status uint8
-	Val    []byte
-}
-
-const clientReqFixed = 8 + 1 + 8 + 4 // id, op, key, vlen
-const clientRespFixed = 8 + 1 + 4    // id, status, vlen
-
-// AppendClientRequest appends q as a length-prefixed frame to b.
-func AppendClientRequest(b []byte, q *ClientRequest) []byte {
-	b = putU32(b, uint32(clientReqFixed+len(q.Val)))
-	b = putU64(b, q.ID)
-	b = putU8(b, uint8(q.Op))
-	b = putU64(b, q.Key)
-	return putBytes(b, q.Val)
-}
-
-// ParseClientRequest decodes one request payload (the bytes after the
-// length prefix).
-func ParseClientRequest(payload []byte) (ClientRequest, error) {
-	return ParseClientRequestArena(payload, nil)
-}
-
-// ParseClientRequestArena is ParseClientRequest with the value copied
-// into *arena (when non-nil) instead of a per-request allocation: the
-// server's submit path shares one arena across an accepted group, so
-// payload copies cost one allocation per group, not one per request.
-// The arena must not be reused while any parsed value is still alive.
-func ParseClientRequestArena(payload []byte, arena *[]byte) (ClientRequest, error) {
-	r := &reader{b: payload}
-	var q ClientRequest
-	q.ID = r.u64()
-	q.Op = Op(r.u8())
-	q.Key = r.u64()
-	q.Val = r.bytesArena(arena)
-	if r.err != nil || r.off != len(payload) {
-		return ClientRequest{}, fmt.Errorf("%w: request (%d bytes)", ErrClientFrame, len(payload))
-	}
-	if q.Op != OpRead && q.Op != OpWrite {
-		return ClientRequest{}, fmt.Errorf("%w: unknown op %d", ErrClientFrame, uint8(q.Op))
-	}
-	return q, nil
-}
-
-// AppendClientResponse appends resp as a length-prefixed frame to b.
-func AppendClientResponse(b []byte, resp *ClientResponse) []byte {
-	b = putU32(b, uint32(clientRespFixed+len(resp.Val)))
-	b = putU64(b, resp.ID)
-	b = putU8(b, resp.Status)
-	return putBytes(b, resp.Val)
-}
-
-// ParseClientResponse decodes one response payload (the bytes after the
-// length prefix).
-func ParseClientResponse(payload []byte) (ClientResponse, error) {
-	r := &reader{b: payload}
-	var resp ClientResponse
-	resp.ID = r.u64()
-	resp.Status = r.u8()
-	resp.Val = r.bytes()
-	if r.err != nil || r.off != len(payload) {
-		return ClientResponse{}, fmt.Errorf("%w: response (%d bytes)", ErrClientFrame, len(payload))
-	}
-	return resp, nil
-}
-
 // ClientFrameLen validates a frame length prefix read off the wire.
 func ClientFrameLen(hdr [4]byte) (int, error) {
 	n := binary.LittleEndian.Uint32(hdr[:])
@@ -135,15 +69,11 @@ func ClientFrameLen(hdr [4]byte) (int, error) {
 	return int(n), nil
 }
 
-// --- Protocol v2 ---
+// --- Kinds 1–6: keyed operations and sessions ---
 //
-// Version 2 keeps the [u32 length][payload] framing and the pipelined
-// correlation-ID model of v1, and adds per-request consistency levels,
-// multi-op batch frames, machine-readable error codes, delete, replicated
-// client sessions (exactly-once mutations), and a commit-cycle "read
-// timestamp" on every response. The connection preamble selects the
-// version: the 4th magic byte is 0x01 (v1) or 0x02 (v2), sniffed per
-// connection exactly like binary-vs-text mode.
+// Per-request consistency levels, multi-op batch frames,
+// machine-readable error codes, replicated client sessions (exactly-once
+// mutations), and a commit-cycle "read timestamp" on every response.
 //
 //	v2 request payload (single op):
 //	  [u64 id][u8 kind=1][u8 op][u8 consistency][u64 minCycle][u64 key][u32 vlen][vlen bytes]
@@ -165,7 +95,7 @@ func ClientFrameLen(hdr [4]byte) (int, error) {
 //	  [u64 id][u8 kind=2][u8 code][u64 cycle][u32 count]
 //	  count x ([u8 status][u8 code][u32 vlen][vlen bytes])
 //
-// Consistency levels: Linearizable routes through consensus as v1 did.
+// Consistency levels: Linearizable routes through consensus.
 // Sequential and Stale are served from the replica's committed state
 // without entering a consensus cycle; Sequential additionally waits
 // until the replica has committed at least minCycle (the client's last
@@ -183,9 +113,6 @@ func ClientFrameLen(hdr [4]byte) (int, error) {
 // cached committed result instead of applying twice. A session expire
 // frame reclaims the session's replicated state; ops on an expired (or
 // idle-reclaimed) session fail with CodeSessionExpired.
-
-// ClientMagicV2 is the protocol-v2 connection preamble.
-var ClientMagicV2 = [4]byte{0xC4, 'N', 'P', 0x02}
 
 // Consistency is a client read-consistency level.
 type Consistency uint8
@@ -261,7 +188,7 @@ type ClientRequestV2 struct {
 	Seq         uint64
 	Ops         []ClientOp
 
-	// v3 extensions (frames a v2 parser rejects; see "Protocol v3").
+	// Event-plane extensions (kinds 7–9; see "Kinds 7–9").
 	Watch      bool   // watch-registration frame
 	Unwatch    bool   // watch-cancel frame
 	Txn        bool   // transaction frame (TxnGuards/TxnOps carry the body)
@@ -293,7 +220,7 @@ type ClientResponseV2 struct {
 	Val     []byte
 	Results []ClientResult
 
-	// v3 extensions: server-push event frames. ID carries the watch ID,
+	// Event-plane extensions: server-push event frames. ID carries the watch ID,
 	// Cycle the commit cycle whose changes the frame delivers.
 	Event    bool
 	Overflow bool // watch killed: consumer too slow or resume point evicted
@@ -550,12 +477,10 @@ func ParseClientResponseV2(payload []byte) (ClientResponseV2, error) {
 	return resp, nil
 }
 
-// --- Protocol v3 ---
+// --- Kinds 7–9: the event plane ---
 //
-// Version 3 is a strict superset of v2: every v2 frame is valid and
-// byte-identical on a v3 connection, and three request kinds plus one
-// server-push response kind are added for the event plane. The 4th
-// magic byte selects the version (0x03).
+// Watch registration, cancellation and server-push event frames, plus
+// multi-op transactions.
 //
 //	v3 request payload (watch):
 //	  [u64 id][u8 kind=7][u64 watchID][u64 key][u8 prefixBits][u64 sinceCycle]

@@ -13,6 +13,12 @@
 // Because the simulator hands the same message pointer to several
 // recipients, received messages must be treated as read-only; protocol
 // code copies any slice it needs to mutate.
+//
+// The package also holds the codec of client protocol v3 (client.go,
+// txn.go), the one protocol canopus-server's client port speaks: keyed
+// operations, batches, replicated sessions, watches with server-push
+// events, and transactions, all in pipelined [u32 length][payload]
+// frames after the ClientMagicV3 preamble.
 package wire
 
 import "fmt"
